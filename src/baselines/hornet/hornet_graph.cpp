@@ -95,46 +95,55 @@ std::uint64_t HornetGraph::insert_edges(std::span<const core::WeightedEdge> edge
     if (i == 0 || unique[i].src != unique[i - 1].src) group_starts.push_back(i);
   }
   group_starts.push_back(unique.size());
-  std::atomic<std::uint64_t> added{0};
-  simt::ThreadPool::instance().parallel_for(
-      group_starts.size() - 1, [&](std::uint64_t g) {
-        const std::size_t begin = group_starts[g];
-        const std::size_t end = group_starts[g + 1];
-        const core::VertexId u = unique[begin].src;
-        // Cross-duplicate check: sorted snapshot of the current adjacency.
-        std::vector<core::VertexId> existing(neighbors(u).begin(),
-                                             neighbors(u).end());
-        std::sort(existing.begin(), existing.end());
-        std::vector<core::WeightedEdge> fresh;
-        fresh.reserve(end - begin);
-        for (std::size_t i = begin; i < end; ++i) {
-          if (std::binary_search(existing.begin(), existing.end(),
-                                 unique[i].dst)) {
-            // Edge already present: overwrite the weight in place.
-            core::VertexId* dst = blocks_.dst(handle_[u]);
-            core::Weight* weight = blocks_.weight(handle_[u]);
-            for (std::uint32_t k = 0; k < used_[u]; ++k) {
-              if (dst[k] == unique[i].dst) {
-                weight[k] = unique[i].weight;
-                break;
-              }
-            }
-          } else {
-            fresh.push_back(unique[i]);
-          }
-        }
-        if (fresh.empty()) return;
-        grow_to_fit(u, used_[u] + static_cast<std::uint32_t>(fresh.size()));
+  const std::size_t groups = group_starts.size() - 1;
+  std::vector<std::vector<core::WeightedEdge>> fresh(groups);
+  simt::ThreadPool::instance().parallel_for(groups, [&](std::uint64_t g) {
+    const std::size_t begin = group_starts[g];
+    const std::size_t end = group_starts[g + 1];
+    const core::VertexId u = unique[begin].src;
+    // Cross-duplicate check: sorted snapshot of the current adjacency.
+    std::vector<core::VertexId> existing(neighbors(u).begin(),
+                                         neighbors(u).end());
+    std::sort(existing.begin(), existing.end());
+    for (std::size_t i = begin; i < end; ++i) {
+      if (std::binary_search(existing.begin(), existing.end(),
+                             unique[i].dst)) {
+        // Edge already present: overwrite the weight in place.
         core::VertexId* dst = blocks_.dst(handle_[u]);
         core::Weight* weight = blocks_.weight(handle_[u]);
-        for (const auto& e : fresh) {
-          dst[used_[u]] = e.dst;
-          weight[used_[u]] = e.weight;
-          ++used_[u];
+        for (std::uint32_t k = 0; k < used_[u]; ++k) {
+          if (dst[k] == unique[i].dst) {
+            weight[k] = unique[i].weight;
+            break;
+          }
         }
-        added.fetch_add(fresh.size(), std::memory_order_relaxed);
-      });
-  return added.load(std::memory_order_relaxed);
+      } else {
+        fresh[g].push_back(unique[i]);
+      }
+    }
+  });
+  // Block growth is serial: a grown pool's storage may move, and no copy
+  // may be reading or writing through the old pointers while it does —
+  // the CPU-side manager of Hornet runs between device kernels, too.
+  std::uint64_t added = 0;
+  for (std::size_t g = 0; g < groups; ++g) {
+    if (fresh[g].empty()) continue;
+    const core::VertexId u = unique[group_starts[g]].src;
+    grow_to_fit(u, used_[u] + static_cast<std::uint32_t>(fresh[g].size()));
+    added += fresh[g].size();
+  }
+  simt::ThreadPool::instance().parallel_for(groups, [&](std::uint64_t g) {
+    if (fresh[g].empty()) return;
+    const core::VertexId u = unique[group_starts[g]].src;
+    core::VertexId* dst = blocks_.dst(handle_[u]);
+    core::Weight* weight = blocks_.weight(handle_[u]);
+    for (const auto& e : fresh[g]) {
+      dst[used_[u]] = e.dst;
+      weight[used_[u]] = e.weight;
+      ++used_[u];
+    }
+  });
+  return added;
 }
 
 std::uint64_t HornetGraph::delete_edges(std::span<const core::Edge> edges) {

@@ -64,8 +64,9 @@ struct MapPolicy {
                        VertexId dst, std::uint64_t seed) {
     return slabhash::map_search(arena, t, dst, seed).found;
   }
+  template <class Fn>
   static void for_each(const memory::SlabArena& arena, slabhash::TableRef t,
-                       const std::function<void(VertexId, Weight)>& fn) {
+                       Fn&& fn) {
     slabhash::map_for_each(arena, t, fn);
   }
   static slabhash::TableOccupancy occupancy(const memory::SlabArena& arena,
@@ -311,7 +312,9 @@ class DynGraph {
 
   /// Algorithm 2: deletes vertices and every edge pointing at them; frees
   /// dynamically allocated slabs; zeroes edge counts. For directed graphs
-  /// the neighbour cleanup is the follow-up full sweep the paper describes.
+  /// the neighbour cleanup is the follow-up full sweep the paper describes,
+  /// run parallel over blocks of vertices. Ids at or past vertex_capacity()
+  /// are ignored, and an id listed more than once is deleted once.
   void delete_vertices(std::span<const VertexId> ids);
 
   // ---- queries (§IV-B) -------------------------------------------------
@@ -514,10 +517,13 @@ class DynGraph {
   /// below `threshold`, as ONE bulk-erase batch riding the engine's
   /// double-buffered pipeline. The DynoGraph aging idiom: with timestamps
   /// from getTimestampForWindow, `ts < threshold` keeps exactly the live
-  /// window (an edge AT the threshold survives). Undirected graphs scan
-  /// each edge once (mirrors carry the same timestamp and are erased by
-  /// the same batch). Phase-serial like delete_edges — use submit_age_out
-  /// under concurrent submitters. Returns the directed edges removed.
+  /// window (an edge AT the threshold survives). The scan is one parallel
+  /// pass over blocks of vertices that reads each live edge's key and
+  /// timestamp together; deleted and edgeless vertices are skipped.
+  /// Undirected graphs collect each edge once (mirrors carry the same
+  /// timestamp and are erased by the same batch). Phase-serial like
+  /// delete_edges — use submit_age_out under concurrent submitters.
+  /// Returns the directed edges removed.
   std::uint64_t delete_edges_older_than(Weight threshold)
       requires Policy::kHasValues;
 
@@ -662,6 +668,20 @@ class DynGraph {
   /// available, we construct a hash table with a single bucket") and
   /// revives deleted sources. Safe under concurrent warps.
   slabhash::TableRef acquire_table(VertexId u);
+
+  /// Whole-capacity sweeps (aging scan, directed vertex-delete sweep) run
+  /// parallel over blocks of this many vertex ids: one work-queue claim per
+  /// block instead of one per vertex.
+  static constexpr std::uint32_t kVertexBlock = 1024;
+  std::uint64_t vertex_blocks() const {
+    return (std::uint64_t{dict_.capacity()} + kVertexBlock - 1) / kVertexBlock;
+  }
+  /// Calls fn(block, u) for every vertex u that has a table and at least
+  /// one edge, parallel over vertex blocks (block b holds ids
+  /// [b * kVertexBlock, (b + 1) * kVertexBlock)); within a block, ids run
+  /// in ascending order on one thread.
+  template <class Fn>
+  void for_each_edged_vertex(Fn&& fn) const;
 
   // Scalar Algorithm-1 oracle (src/core/scalar_oracle.hpp): retained as the
   // differential reference for engine-off configs and tests; undirected

@@ -1234,18 +1234,23 @@ void DynGraph<Policy>::delete_vertices(std::span<const VertexId> ids) {
   if (ids.empty()) return;
   ensure_journal_usable();
   const std::uint64_t seed = config_.hash_seed;
-  const std::uint32_t count = static_cast<std::uint32_t>(ids.size());
 
   // Serial pre-pass: mark the batch. The `doomed` bitmap (this batch only)
   // drives the cleanup so that stale liveness flags from earlier deletions
-  // can never widen it; the persistent flags feed vertex_live().
+  // can never widen it; the persistent flags feed vertex_live(). Unknown
+  // ids drop out and a repeated id passes once: both phases run over the
+  // distinct list, so no two warps ever clear the same table.
   std::vector<std::uint8_t> doomed(dict_.capacity(), 0);
+  std::vector<VertexId> distinct;
+  distinct.reserve(ids.size());
   for (VertexId v : ids) {
-    if (v < dict_.capacity()) {
+    if (v < dict_.capacity() && !doomed[v]) {
       doomed[v] = 1;
       dict_.set_deleted(v, true);
+      distinct.push_back(v);
     }
   }
+  const auto count = static_cast<std::uint32_t>(distinct.size());
 
   // Phase 1 — remove the deleted vertices from *other* adjacency lists.
   if (config_.undirected) {
@@ -1260,10 +1265,8 @@ void DynGraph<Policy>::delete_vertices(std::span<const VertexId> ids) {
         // Lines 3-6: lane 0 claims a queue slot; broadcast to the warp.
         const std::uint32_t queue_id = simt::atomic_add(queue, 1u);
         if (queue_id >= count) return;  // line 7-8
-        const VertexId warp_vertex = ids[queue_id];  // line 10
-        if (warp_vertex >= dict_.capacity() || !dict_.has_table(warp_vertex)) {
-          continue;
-        }
+        const VertexId warp_vertex = distinct[queue_id];  // line 10
+        if (!dict_.has_table(warp_vertex)) continue;
         // Lines 11-17: iterate the vertex's slabs; every lane takes one
         // destination and deletes warp_vertex from that neighbour's table.
         auto it = edge_iterator(warp_vertex);
@@ -1293,26 +1296,21 @@ void DynGraph<Policy>::delete_vertices(std::span<const VertexId> ids) {
   } else {
     // Directed: incoming edges are unknown, so run the paper's follow-up
     // sweep — "a follow-up lookup and delete all of the deleted vertices in
-    // all of the hash tables" — over every live vertex.
-    std::uint32_t queue = 0;
+    // all of the hash tables" — over every vertex that still has edges,
+    // claimed a vertex block at a time.
     const std::uint32_t capacity = dict_.capacity();
-    simt::launch_warps(256, [&](const simt::WarpId&) {
-      for (;;) {
-        const std::uint32_t u = simt::atomic_add(queue, 1u);
-        if (u >= capacity) return;
-        if (!dict_.has_table(u) || doomed[u]) continue;
-        const slabhash::TableRef table = dict_.table(u);
-        auto it = EdgeSlabIterator<Policy>(arena_, table);
-        while (it.next()) {
-          for (int lane = 0; lane < it.slots(); ++lane) {
-            const std::uint32_t dst = it.key(lane);
-            if (dst == slabhash::kEmptyKey) break;  // empties only at tail
-            if (dst == slabhash::kTombstoneKey) continue;
-            if (dst < capacity && doomed[dst]) {
-              if (Policy::erase(arena_, table, dst, seed)) {
-                simt::atomic_sub(dict_.edge_count_word(u), 1u);
-              }
-            }
+    for_each_edged_vertex([&](std::uint64_t, VertexId u) {
+      if (doomed[u]) return;
+      const slabhash::TableRef table = dict_.table(u);
+      auto it = EdgeSlabIterator<Policy>(arena_, table);
+      while (it.next()) {
+        for (int lane = 0; lane < it.slots(); ++lane) {
+          const std::uint32_t dst = it.key(lane);
+          if (dst == slabhash::kEmptyKey) break;  // empties only at tail
+          if (dst == slabhash::kTombstoneKey) continue;
+          if (dst < capacity && doomed[dst] &&
+              Policy::erase(arena_, table, dst, seed)) {
+            simt::atomic_sub(dict_.edge_count_word(u), 1u);
           }
         }
       }
@@ -1329,8 +1327,8 @@ void DynGraph<Policy>::delete_vertices(std::span<const VertexId> ids) {
       for (;;) {
         const std::uint32_t queue_id = simt::atomic_add(queue2, 1u);
         if (queue_id >= count) return;
-        const VertexId v = ids[queue_id];
-        if (v >= dict_.capacity() || !dict_.has_table(v)) continue;
+        const VertexId v = distinct[queue_id];
+        if (!dict_.has_table(v)) continue;
         Policy::clear(arena_, dict_.table(v));
         dict_.set_edge_count(v, 0);
       }
@@ -1420,47 +1418,43 @@ void DynGraph<Policy>::flush_all_tombstones() {
 }
 
 template <class Policy>
+template <class Fn>
+void DynGraph<Policy>::for_each_edged_vertex(Fn&& fn) const {
+  const std::uint64_t capacity = dict_.capacity();
+  simt::ThreadPool::instance().parallel_for(
+      vertex_blocks(), [&](std::uint64_t block) {
+        const std::uint64_t last =
+            std::min(capacity, (block + 1) * kVertexBlock);
+        for (std::uint64_t u = block * kVertexBlock; u < last; ++u) {
+          const auto v = static_cast<VertexId>(u);
+          if (dict_.has_table(v) && dict_.edge_count(v) != 0) fn(block, v);
+        }
+      });
+}
+
+template <class Policy>
 std::uint64_t DynGraph<Policy>::delete_edges_older_than(Weight threshold)
     requires Policy::kHasValues {
-  // Sweep live vertices in waves: gather each wave's adjacency, read the
-  // stored timestamps through the batched weight lookup, and collect every
-  // directed edge with ts < threshold (strictly below — the DynoGraph
-  // window convention; an edge AT the threshold survives). The expired set
-  // then retires as ONE delete_edges batch on the engine pipeline.
-  constexpr std::uint32_t kWave = 4096;
-  std::vector<VertexId> wave;
-  wave.reserve(kWave);
-  std::vector<Edge> expired;
-  std::vector<Edge> probes;
-  std::vector<std::uint64_t> offsets;
-  std::vector<VertexId> neighbors;
-  std::vector<Weight> weights;
-  const auto drain_wave = [&] {
-    if (wave.empty()) return;
-    gather_neighbors(wave, offsets, neighbors);
-    probes.clear();
-    for (std::size_t i = 0; i < wave.size(); ++i) {
-      for (std::uint64_t k = offsets[i]; k < offsets[i + 1]; ++k) {
-        // Undirected graphs store each edge twice with the same timestamp;
-        // probing only the src <= dst orientation halves the lookup work,
-        // and delete_edges erases the mirror itself.
-        if (config_.undirected && wave[i] > neighbors[k]) continue;
-        probes.push_back(Edge{wave[i], neighbors[k]});
+  // One parallel pass over vertex blocks: each live table's slabs are read
+  // once, every key together with the timestamp stored beside it, and each
+  // block collects its directed edges with ts < threshold (strictly below —
+  // the DynoGraph window convention; an edge AT the threshold survives).
+  // Undirected graphs store each edge twice with one timestamp, so only the
+  // src <= dst orientation is collected; delete_edges erases the mirror.
+  // The blocks' edges, in block order, retire as ONE delete_edges batch.
+  std::vector<std::vector<Edge>> per_block(vertex_blocks());
+  for_each_edged_vertex([&](std::uint64_t block, VertexId u) {
+    if (dict_.deleted(u)) return;
+    Policy::for_each(arena_, dict_.table(u), [&](VertexId v, Weight ts) {
+      if (ts < threshold && (!config_.undirected || u <= v)) {
+        per_block[block].push_back(Edge{u, v});
       }
-    }
-    weights.assign(probes.size(), Weight{0});
-    edge_weights(probes, weights.data());
-    for (std::size_t q = 0; q < probes.size(); ++q) {
-      if (weights[q] < threshold) expired.push_back(probes[q]);
-    }
-    wave.clear();
-  };
-  for (VertexId u = 0; u < dict_.capacity(); ++u) {
-    if (!vertex_live(u) || dict_.edge_count(u) == 0) continue;
-    wave.push_back(u);
-    if (wave.size() == kWave) drain_wave();
+    });
+  });
+  std::vector<Edge> expired;
+  for (const std::vector<Edge>& edges : per_block) {
+    expired.insert(expired.end(), edges.begin(), edges.end());
   }
-  drain_wave();
   if (expired.empty()) return 0;
   return delete_edges(expired);
 }

@@ -148,20 +148,14 @@ SlabHandle SlabArena::allocate_contiguous(std::uint32_t count,
     std::lock_guard<std::mutex> lock(bulk_mutex_);
     // Best-fit reuse of a returned range before the bump cursor grows:
     // rebuild churn (rehash swapping bucket arrays) cycles through here
-    // instead of leaking one abandoned range per rebuild. The map is
-    // small — it only ever holds ranges freed and not yet reused.
-    auto best = bulk_free_.end();
-    for (auto it = bulk_free_.begin(); it != bulk_free_.end(); ++it) {
-      if (it->second >= count &&
-          (best == bulk_free_.end() || it->second < best->second)) {
-        best = it;
-      }
-    }
-    if (best != bulk_free_.end()) {
-      first = best->first;
-      const std::uint32_t remaining = best->second - count;
-      bulk_free_.erase(best);
-      if (remaining > 0) bulk_free_.emplace(first + count, remaining);
+    // instead of leaking one abandoned range per rebuild. The size index
+    // yields the smallest range that fits, lowest address on a tie.
+    const auto best = bulk_free_by_size_.lower_bound({count, SlabHandle{0}});
+    if (best != bulk_free_by_size_.end()) {
+      const auto [slabs, start] = *best;
+      first = start;
+      erase_free_range(bulk_free_.find(start));
+      if (slabs > count) add_free_range(first + count, slabs - count);
       chunk = chunk_at(first >> kOffsetBits);
     } else {
       if (bulk_cursor_ + count > kChunkSlabs) {
@@ -230,16 +224,27 @@ void SlabArena::free_contiguous(SlabHandle first, std::uint32_t count) {
       prev->first + prev->second == first) {
     lo = prev->first;
     merged += prev->second;
-    bulk_free_.erase(prev);
+    erase_free_range(prev);
   }
   if (next != bulk_free_.end() && (next->first >> kOffsetBits) == ci &&
       lo + merged == next->first) {
     merged += next->second;
-    bulk_free_.erase(next);
+    erase_free_range(next);
   }
-  bulk_free_.emplace(lo, merged);
+  add_free_range(lo, merged);
   chunk->bulk_used.fetch_sub(count, std::memory_order_relaxed);
   bulk_slabs_.fetch_sub(count, std::memory_order_relaxed);
+}
+
+void SlabArena::add_free_range(SlabHandle first, std::uint32_t count) {
+  bulk_free_.emplace(first, count);
+  bulk_free_by_size_.emplace(count, first);
+}
+
+SlabArena::FreeRanges::iterator SlabArena::erase_free_range(
+    FreeRanges::iterator it) {
+  bulk_free_by_size_.erase({it->second, it->first});
+  return bulk_free_.erase(it);
 }
 
 SlabHandle SlabArena::allocate(std::uint32_t fill_word, std::uint32_t seed) {
@@ -516,8 +521,10 @@ std::uint32_t SlabArena::release_empty_chunks(std::uint32_t keep_free) {
       }
       // Purge the dying chunk's free-list ranges: their handles go invalid.
       const SlabHandle begin = i << kOffsetBits;
-      bulk_free_.erase(bulk_free_.lower_bound(begin),
-                       bulk_free_.lower_bound(begin + kChunkSlabs));
+      for (auto it = bulk_free_.lower_bound(begin);
+           it != bulk_free_.end() && it->first < begin + kChunkSlabs;) {
+        it = erase_free_range(it);
+      }
     }
     // The slot goes back to nullptr (add_chunk recycles it); num_chunks_
     // stays at its high-water mark so handle resolution never shrinks.

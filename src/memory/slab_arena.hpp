@@ -30,6 +30,7 @@
 #include <memory>
 #include <mutex>
 #include <new>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -245,6 +246,12 @@ class SlabArena {
   /// free() body; `use_cache` selects the per-thread fast path.
   void free_impl(SlabHandle handle, bool use_cache);
 
+  using FreeRanges = std::map<SlabHandle, std::uint32_t>;  // start -> slabs
+  /// The only writers of bulk_free_, so the size index never drifts from
+  /// it. Caller holds bulk_mutex_.
+  void add_free_range(SlabHandle first, std::uint32_t count);
+  FreeRanges::iterator erase_free_range(FreeRanges::iterator it);
+
   std::unique_ptr<std::atomic<Chunk*>[]> chunks_;
   std::atomic<std::uint32_t> num_chunks_{0};
   std::unique_ptr<FreeCache[]> free_caches_;
@@ -253,12 +260,17 @@ class SlabArena {
 
   // Bulk (base-slab) bump state. bulk_free_ holds ranges returned by
   // free_contiguous, address-ordered and coalesced within each chunk;
-  // allocate_contiguous carves from it (best fit) before bumping. All
-  // guarded by bulk_mutex_ (lock order: bulk_mutex_ before grow_mutex_).
+  // allocate_contiguous carves from it (best fit) before bumping. It can
+  // hold thousands of ranges (compact() drops one 1-slab table per emptied
+  // vertex), so bulk_free_by_size_ indexes the same ranges by (slabs,
+  // start): best fit is one lower_bound, smallest fit first and lowest
+  // address on a tie. All guarded by bulk_mutex_ (lock order: bulk_mutex_
+  // before grow_mutex_).
   std::mutex bulk_mutex_;
   std::uint32_t bulk_chunk_ = 0;       // current bulk chunk index
   std::uint32_t bulk_cursor_ = kChunkSlabs;  // next free slot in bulk chunk
-  std::map<SlabHandle, std::uint32_t> bulk_free_;  // range start -> slabs
+  FreeRanges bulk_free_;
+  std::set<std::pair<std::uint32_t, SlabHandle>> bulk_free_by_size_;
 
   // Dynamic allocation state.
   std::mutex grow_mutex_;

@@ -439,31 +439,6 @@ void map_bulk_search(const memory::SlabArena& arena, TableRef table,
   if (chain_slabs != nullptr) *chain_slabs = deepest;
 }
 
-void map_for_each(const memory::SlabArena& arena, TableRef table,
-                  const std::function<void(std::uint32_t, std::uint32_t)>& fn) {
-  for (std::uint32_t b = 0; b < table.num_buckets; ++b) {
-    SlabHandle handle = table.bucket_head(b);
-    while (handle != kNullSlab) {
-      std::uint32_t snap[memory::kWordsPerSlab];
-      simt::snapshot_slab(arena.resolve(handle), snap);
-      const std::uint32_t empties =
-          simt::empty_mask(snap, kEmptyKey) & kMapKeyWordsMask;
-      const std::uint32_t tombs =
-          simt::tombstone_mask(snap, kTombstoneKey) & kMapKeyWordsMask;
-      // Live pairs sit below the first EMPTY slot (empties only at the
-      // slab tail); tombstoned slots are skipped.
-      std::uint32_t live = kMapKeyWordsMask & ~tombs &
-                           simt::bits_below(std::countr_zero(empties));
-      while (live != 0) {
-        const int key_word = std::countr_zero(live);
-        fn(snap[key_word], snap[key_word + 1]);
-        live &= live - 1;
-      }
-      handle = snap[kNextPtrWord];
-    }
-  }
-}
-
 std::uint32_t map_gather(const memory::SlabArena& arena, TableRef table,
                          std::uint32_t* out, std::uint32_t cap,
                          std::uint32_t* chain_slabs) {

@@ -20,10 +20,12 @@
 // or delete phase), which is the paper's phase-concurrent model.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <optional>
 
+#include "src/simt/simd.hpp"
 #include "src/slabhash/slab_layout.hpp"
 
 namespace sg::slabhash {
@@ -97,9 +99,33 @@ void map_bulk_search(const memory::SlabArena& arena, TableRef table,
                      std::uint32_t* values,
                      std::uint32_t* chain_slabs = nullptr);
 
-/// Calls fn(key, value) for every live pair. Phase-concurrent with queries.
-void map_for_each(const memory::SlabArena& arena, TableRef table,
-                  const std::function<void(std::uint32_t, std::uint32_t)>& fn);
+/// Calls fn(key, value) for every live pair, one snapshot + mask per slab.
+/// A template so per-pair calls inline into whole-graph scans (aging).
+/// Phase-concurrent with queries.
+template <class Fn>
+void map_for_each(const memory::SlabArena& arena, TableRef table, Fn&& fn) {
+  for (std::uint32_t b = 0; b < table.num_buckets; ++b) {
+    memory::SlabHandle handle = table.bucket_head(b);
+    while (handle != memory::kNullSlab) {
+      std::uint32_t snap[memory::kWordsPerSlab];
+      simt::snapshot_slab(arena.resolve(handle), snap);
+      const std::uint32_t empties =
+          simt::empty_mask(snap, kEmptyKey) & kMapKeyWordsMask;
+      const std::uint32_t tombs =
+          simt::tombstone_mask(snap, kTombstoneKey) & kMapKeyWordsMask;
+      // Live pairs sit below the first EMPTY slot (empties only at the
+      // slab tail); tombstoned slots are skipped.
+      std::uint32_t live = kMapKeyWordsMask & ~tombs &
+                           simt::bits_below(std::countr_zero(empties));
+      while (live != 0) {
+        const int key_word = std::countr_zero(live);
+        fn(snap[key_word], snap[key_word + 1]);
+        live &= live - 1;
+      }
+      handle = snap[kNextPtrWord];
+    }
+  }
+}
 
 /// Gathers every live key into `out` (caller-presized to `cap` slots) with
 /// one snapshot + mask extraction per slab; returns the number written

@@ -2,6 +2,9 @@
 // alloc/free/reuse, handle resolution, statistics, and concurrent stress.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
 #include <set>
 #include <type_traits>
 #include <vector>
@@ -568,6 +571,95 @@ TEST(SlabArenaBulkRecycle, FullyFreedBulkChunkIsReleased) {
   const SlabHandle again =
       arena.allocate_contiguous(SlabArena::kChunkSlabs, 0xCAFED00Du);
   EXPECT_EQ(arena.resolve(again).words[0], 0xCAFED00Du);
+}
+
+TEST(SlabArenaBulkRecycle, BestFitOverThousandsOfRangesMatchesLinearScan) {
+  // compact() leaves thousands of 1-slab ranges behind; best fit must still
+  // pick the smallest range that fits, lowest address on a tie. `model` is
+  // the free list restated, searched by a plain linear scan.
+  SlabArena arena;
+  std::vector<std::pair<SlabHandle, std::uint32_t>> held;
+  const auto hold = [&](std::uint32_t slabs) {
+    held.emplace_back(arena.allocate_contiguous(slabs, 0), slabs);
+    arena.allocate_contiguous(1, 0);  // separator: frees never coalesce
+  };
+  const std::uint32_t larger[] = {5, 3, 9, 5, 3, 12, 2, 9};
+  for (std::uint32_t i = 0; i < 3000; ++i) {
+    hold(1);
+    if (i % 375 == 100) hold(larger[i / 375]);
+  }
+  std::mt19937 rng(5);
+  std::shuffle(held.begin(), held.end(), rng);
+  std::map<SlabHandle, std::uint32_t> model;
+  for (const auto& [first, slabs] : held) {
+    arena.free_contiguous(first, slabs);
+    model.emplace(first, slabs);
+  }
+  const auto contains = [&](SlabHandle h) {
+    auto it = model.upper_bound(h);
+    return it != model.begin() && h < std::prev(it)->first + std::prev(it)->second;
+  };
+  for (std::uint32_t i = 0; i < 3200; ++i) {
+    const std::uint32_t count = i % 7 == 3 ? i % 13 + 1 : 1;
+    auto best = model.end();
+    for (auto it = model.begin(); it != model.end(); ++it) {
+      if (it->second >= count &&
+          (best == model.end() || it->second < best->second)) {
+        best = it;
+      }
+    }
+    const SlabHandle got = arena.allocate_contiguous(count, 0);
+    if (best == model.end()) {
+      // Nothing fits: a bump allocation outside every free range.
+      ASSERT_FALSE(contains(got)) << "request " << i << " of " << count;
+      continue;
+    }
+    ASSERT_EQ(got, best->first) << "request " << i << " of " << count;
+    const std::uint32_t remaining = best->second - count;
+    model.erase(best);
+    if (remaining > 0) model.emplace(got + count, remaining);
+  }
+}
+
+TEST(SlabArenaBulkRecycle, ReleasedBulkChunkLeavesNoReusableRange) {
+  SlabArena arena;
+  // Fill one bulk chunk with ranges of mixed sizes, then open the next.
+  std::vector<std::pair<SlabHandle, std::uint32_t>> ranges;
+  for (std::uint32_t used = 0, k = 0; used < SlabArena::kChunkSlabs; ++k) {
+    const std::uint32_t slabs =
+        std::min(k % 5 + 1, SlabArena::kChunkSlabs - used);
+    ranges.emplace_back(arena.allocate_contiguous(slabs, 0), slabs);
+    used += slabs;
+  }
+  const std::uint32_t dead = SlabArena::chunk_index_of(ranges.front().first);
+  ASSERT_EQ(SlabArena::chunk_index_of(ranges.back().first), dead);
+  const SlabHandle live_a = arena.allocate_contiguous(3, 0);
+  arena.allocate_contiguous(1, 0);
+  const SlabHandle live_b = arena.allocate_contiguous(6, 0);
+  arena.allocate_contiguous(1, 0);
+  ASSERT_NE(SlabArena::chunk_index_of(live_a), dead);
+  // Return the full chunk out of order (ranges split, coalesce, merge),
+  // plus two ranges of the live chunk that must stay reusable.
+  std::mt19937 rng(9);
+  std::shuffle(ranges.begin(), ranges.end(), rng);
+  for (const auto& [first, slabs] : ranges) arena.free_contiguous(first, slabs);
+  arena.free_contiguous(live_a, 3);
+  arena.free_contiguous(live_b, 6);
+  EXPECT_EQ(arena.release_empty_chunks(/*keep_free=*/0), 1u);
+  // Every request the live chunk can serve lands there, never in the
+  // purged chunk, and best fit still finds the live chunk's ranges.
+  EXPECT_EQ(arena.allocate_contiguous(2, 0xA1u), live_a);
+  EXPECT_EQ(arena.allocate_contiguous(6, 0xA2u), live_b);
+  for (std::uint32_t count : {1u, 1u, 4u, 7u, 64u}) {
+    const SlabHandle h = arena.allocate_contiguous(count, 0xA3u);
+    EXPECT_NE(SlabArena::chunk_index_of(h), dead);
+    EXPECT_EQ(arena.resolve(h + count - 1).words[0], 0xA3u);
+  }
+  // A full-chunk request opens a fresh (possibly recycled-index) chunk
+  // whose every slab is backed and filled.
+  const SlabHandle whole =
+      arena.allocate_contiguous(SlabArena::kChunkSlabs, 0xCAFEu);
+  EXPECT_EQ(arena.resolve(whole + SlabArena::kChunkSlabs - 1).words[31], 0xCAFEu);
 }
 
 TEST(SlabArena, MixedBulkAndDynamicCoexist) {

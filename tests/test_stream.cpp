@@ -268,6 +268,99 @@ TEST(StreamDifferential, AgedGraphMatchesTimestampFilteredReference) {
   EXPECT_EQ(inserted - aged, expected_live);
 }
 
+/// Every live directed edge of `g` with its stored timestamp.
+using EdgeTimes = std::map<std::pair<core::VertexId, core::VertexId>, core::Weight>;
+EdgeTimes edges_of(const core::DynGraphMap& g) {
+  EdgeTimes out;
+  for (core::VertexId u = 0; u < g.vertex_capacity(); ++u) {
+    g.for_each_neighbor(u, [&](core::VertexId v, core::Weight ts) {
+      out.emplace(std::make_pair(u, v), ts);
+    });
+  }
+  return out;
+}
+
+/// A stream over `n` ids (several aging-scan blocks, the last one partial):
+/// half the edges fall among 48 hot ids, so pairs recur and timestamps
+/// refresh; the rest spread over every block.
+std::vector<TemporalEdge> hot_cold_stream(std::size_t edges, core::VertexId n,
+                                          std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<core::VertexId> hot(0, 47);
+  std::uniform_int_distribution<core::VertexId> any(0, n - 1);
+  std::vector<TemporalEdge> out;
+  while (out.size() < edges) {
+    const bool is_hot = (rng() & 1) != 0;
+    const core::VertexId src = is_hot ? hot(rng) : any(rng);
+    const core::VertexId dst = is_hot ? hot(rng) : any(rng);
+    if (src == dst) continue;
+    out.push_back({src, dst, static_cast<core::Weight>(out.size())});
+  }
+  return out;
+}
+
+/// Ages the reference: drops entries with ts < threshold, returns how many.
+std::uint64_t age_reference(EdgeTimes& ref, core::Weight threshold) {
+  return std::erase_if(ref, [&](const auto& kv) { return kv.second < threshold; });
+}
+
+TEST(StreamDifferential, UndirectedAgingMatchesTimestampFilteredReference) {
+  constexpr core::VertexId kVerts = 2600;
+  constexpr std::size_t kBatch = 1500;
+  const std::vector<TemporalEdge> stream = hot_cold_stream(12 * kBatch, kVerts, 21);
+  core::DynGraphMap g(map_config(kVerts, /*undirected=*/true));
+  EdgeTimes ref;  // both orientations of every live undirected edge
+  for (std::size_t e = 0; e * kBatch < stream.size(); ++e) {
+    std::vector<core::WeightedEdge> batch;
+    for (std::size_t i = e * kBatch; i < (e + 1) * kBatch; ++i) {
+      const TemporalEdge& t = stream[i];
+      batch.push_back({t.src, t.dst, t.ts});
+      ref[{t.src, t.dst}] = t.ts;
+      ref[{t.dst, t.src}] = t.ts;
+    }
+    g.insert_edges(batch);
+    const auto threshold = static_cast<core::Weight>(e < 3 ? 0 : (e - 3) * kBatch + 700);
+    // Directed counting: each retired undirected edge removes two entries.
+    EXPECT_EQ(g.delete_edges_older_than(threshold), age_reference(ref, threshold))
+        << "epoch " << e;
+    ASSERT_EQ(g.num_edges(), ref.size()) << "epoch " << e;
+    EXPECT_TRUE(edges_of(g) == ref) << "epoch " << e;
+  }
+}
+
+TEST(StreamDifferential, DirectedAgingWithVertexDeletesMatchesReference) {
+  constexpr core::VertexId kVerts = 2600;
+  constexpr std::size_t kBatch = 1500;
+  const std::vector<TemporalEdge> stream = hot_cold_stream(12 * kBatch, kVerts, 23);
+  core::DynGraphMap g(map_config(kVerts));
+  EdgeTimes ref;
+  for (std::size_t e = 0; e * kBatch < stream.size(); ++e) {
+    std::vector<core::WeightedEdge> batch;
+    std::vector<core::VertexId> leavers;
+    for (std::size_t i = e * kBatch; i < (e + 1) * kBatch; ++i) {
+      const TemporalEdge& t = stream[i];
+      batch.push_back({t.src, t.dst, t.ts});
+      ref[{t.src, t.dst}] = t.ts;
+      // Leavers: a hot id, and ids of the last (partial) scan block.
+      const bool pick = (i % 500 == 17) || (t.src >= 2048 && leavers.size() < 4);
+      if (pick && std::find(leavers.begin(), leavers.end(), t.src) == leavers.end()) {
+        leavers.push_back(t.src);
+      }
+    }
+    g.insert_edges(batch);
+    const auto threshold = static_cast<core::Weight>(e < 3 ? 0 : (e - 3) * kBatch + 700);
+    EXPECT_EQ(g.delete_edges_older_than(threshold), age_reference(ref, threshold))
+        << "epoch " << e;
+    g.delete_vertices(leavers);
+    std::erase_if(ref, [&](const auto& kv) {
+      return std::find(leavers.begin(), leavers.end(), kv.first.first) != leavers.end() ||
+             std::find(leavers.begin(), leavers.end(), kv.first.second) != leavers.end();
+    });
+    ASSERT_EQ(g.num_edges(), ref.size()) << "epoch " << e;
+    EXPECT_TRUE(edges_of(g) == ref) << "epoch " << e;
+  }
+}
+
 TEST(StreamDifferential, UnsortedAndPresortConverge) {
   const std::vector<TemporalEdge> stream = random_stream(8000, 128, 11);
   Dataset ds(stream, 500);

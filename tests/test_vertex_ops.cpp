@@ -187,6 +187,64 @@ TEST(VertexDelete, UnknownOrRepeatIdsAreTolerated) {
   EXPECT_NO_THROW(g.delete_vertices(doomed));
   EXPECT_FALSE(g.edge_exists(2, 1));
   EXPECT_EQ(g.degree(2), 0u);
+  // A repeated id whose table owns an overflow chain must be cleared once:
+  // two clears of one table free its overflow slabs twice (ArenaFault, or
+  // a slab handed out to two chains).
+  for (const bool undirected : {false, true}) {
+    GraphConfig cfg = config(undirected, 512);
+    cfg.auto_rehash_p99_slabs = 0;  // keep the 1-bucket table's chain
+    DynGraphMap chained(cfg);
+    std::vector<WeightedEdge> star_edges = star(0, 200);
+    const std::vector<WeightedEdge> tail = {{300, 301, 0}, {302, 0, 0}};
+    star_edges.insert(star_edges.end(), tail.begin(), tail.end());
+    chained.insert_edges(star_edges);
+    ASSERT_GT(chained.memory_stats().overflow_slabs, 0u);
+    const std::vector<VertexId> repeated = {0, 0, 0, 300, 0, 300};
+    ASSERT_NO_THROW(chained.delete_vertices(repeated));
+    EXPECT_EQ(chained.degree(0), 0u);
+    EXPECT_EQ(chained.num_edges(), 0u);
+    // Arena and tables agree: every live dynamic slab is an overflow slab
+    // some chain still owns, every live bulk slab a base slab.
+    const GraphMemoryStats mem = chained.memory_stats();
+    const memory::ArenaStats arena = chained.arena_stats();
+    EXPECT_EQ(arena.dynamic_slabs, mem.overflow_slabs);
+    EXPECT_EQ(arena.bulk_slabs, mem.base_slabs);
+    // The freed chain is reusable exactly once: reinsertion grows it back
+    // without the arena handing one slab to two chains.
+    chained.insert_edges(star(0, 200));
+    EXPECT_EQ(chained.degree(0), 200u);
+    EXPECT_EQ(chained.arena_stats().dynamic_slabs,
+              chained.memory_stats().overflow_slabs);
+  }
+}
+
+TEST(VertexDeleteDirected, SweepCoversThePartialLastVertexBlock) {
+  // 2500 ids: two full sweep blocks of 1024 plus a partial one. The doomed
+  // vertex and some of its in-neighbours sit in that last partial block.
+  constexpr std::uint32_t kCapacity = 2500;
+  DynGraphMap g(config(false, kCapacity));
+  const VertexId doomed_id = kCapacity - 3;
+  std::vector<WeightedEdge> edges;
+  for (VertexId u = 0; u < kCapacity; u += 97) {
+    if (u != doomed_id) edges.push_back({u, doomed_id, u});
+  }
+  const std::vector<WeightedEdge> extra = {
+      {kCapacity - 1, doomed_id, 1}, {kCapacity - 2, doomed_id, 2},
+      {kCapacity - 1, 5, 3},         {doomed_id, 7, 4},
+      {doomed_id, kCapacity - 1, 5}, {1500, 2, 6}};
+  edges.insert(edges.end(), extra.begin(), extra.end());
+  g.insert_edges(edges);
+  const std::vector<VertexId> doomed = {doomed_id};
+  g.delete_vertices(doomed);
+  for (VertexId u = 0; u < kCapacity; ++u) {
+    ASSERT_FALSE(g.edge_exists(u, doomed_id)) << "in-edge from " << u;
+  }
+  EXPECT_EQ(g.degree(doomed_id), 0u);
+  EXPECT_EQ(g.degree(kCapacity - 1), 1u);  // keeps (kCapacity - 1, 5)
+  EXPECT_TRUE(g.edge_exists(kCapacity - 1, 5));
+  EXPECT_EQ(g.degree(kCapacity - 2), 0u);
+  EXPECT_TRUE(g.edge_exists(1500, 2));
+  EXPECT_EQ(g.num_edges(), 2u);
 }
 
 TEST(VertexDelete, LargeBatchLoadImbalance) {
